@@ -59,9 +59,9 @@ def test_extension_rebalancing(benchmark):
              f"{after.success_volume:.4g}"],
         ],
     )
-    save_result("ext_rebalance", "E1 - Revive-style rebalancing", body)
     assert report.cycles_executed > 0
     assert after.success_ratio >= before.success_ratio
+    save_result("ext_rebalance", "E1 - Revive-style rebalancing", body)
 
 
 def test_extension_streaming_threshold(benchmark):
@@ -86,10 +86,10 @@ def test_extension_streaming_threshold(benchmark):
              f"{online.success_volume:.4g}", online.probe_messages],
         ],
     )
-    save_result("ext_streaming", "E2 - streaming threshold", body)
     # The online estimator must preserve Flash's delivery performance.
     assert online.success_volume >= 0.8 * offline.success_volume
     assert online.success_ratio >= offline.success_ratio - 0.1
+    save_result("ext_streaming", "E2 - streaming threshold", body)
 
 
 def test_extension_churn(benchmark):
@@ -127,7 +127,7 @@ def test_extension_churn(benchmark):
              f"{dynamic.success_volume:.4g}"],
         ],
     )
-    save_result("ext_churn", "E3 - routing under channel churn", body)
     assert n_events > 0
     # Flash degrades gracefully: most payments still deliver under churn.
     assert dynamic.success_ratio >= 0.7 * static.success_ratio
+    save_result("ext_churn", "E3 - routing under channel churn", body)

@@ -11,7 +11,6 @@ from repro.eval import fig3_size_cdfs
 
 def test_fig3_size_distributions(benchmark):
     result = once(benchmark, lambda: fig3_size_cdfs(n_samples=40_000, seed=0))
-    save_result("fig03", "Fig 3 - payment size distributions", result.format())
     # Headline shape: heavy tail carrying ~95% of volume in the top decile.
     assert 0.90 < result.ripple.top_decile_volume_share < 0.99
     assert 0.90 < result.bitcoin.top_decile_volume_share < 0.995
@@ -21,3 +20,4 @@ def test_fig3_size_distributions(benchmark):
     # The top decile is orders of magnitude above the median.
     assert result.ripple.p90 > 50 * result.ripple.median
     assert result.bitcoin.p90 > 10 * result.bitcoin.median
+    save_result("fig03", "Fig 3 - payment size distributions", result.format())

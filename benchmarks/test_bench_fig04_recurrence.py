@@ -17,9 +17,9 @@ def test_fig4_recurrence(benchmark):
             days=60, transactions_per_day=1_000, n_nodes=500, seed=0
         ),
     )
-    save_result("fig04", "Fig 4 - recurring transactions", result.format())
     # Fig 4a: most transactions recur within the day (paper median: 86%).
     assert result.median_recurring_fraction > 0.70
     # Fig 4b: a user's top-5 receivers dominate (paper: >= 70%).
     assert result.median_top5_share > 0.70
     assert result.days >= 59
+    save_result("fig04", "Fig 4 - recurring transactions", result.format())

@@ -39,10 +39,10 @@ def test_fig6_ripple(benchmark):
             BENCH_RIPPLE, scale_factors=SCALES, runs=2, seed=1
         ),
     )
+    _check_shape(result)
     save_result(
         "fig06_ripple", "Fig 6a/6b - Ripple capacity sweep", result.format()
     )
-    _check_shape(result)
 
 
 def test_fig6_lightning(benchmark):
@@ -52,9 +52,9 @@ def test_fig6_lightning(benchmark):
             BENCH_LIGHTNING, scale_factors=SCALES, runs=2, seed=1
         ),
     )
+    _check_shape(result)
     save_result(
         "fig06_lightning",
         "Fig 6c/6d - Lightning capacity sweep",
         result.format(),
     )
-    _check_shape(result)

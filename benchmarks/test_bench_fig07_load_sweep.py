@@ -28,8 +28,8 @@ def test_fig7_ripple(benchmark):
             BENCH_RIPPLE, transaction_counts=COUNTS, runs=2, seed=2
         ),
     )
-    save_result("fig07_ripple", "Fig 7a/7b - Ripple load sweep", result.format())
     _check_shape(result)
+    save_result("fig07_ripple", "Fig 7a/7b - Ripple load sweep", result.format())
 
 
 def test_fig7_lightning(benchmark):
@@ -39,7 +39,7 @@ def test_fig7_lightning(benchmark):
             BENCH_LIGHTNING, transaction_counts=COUNTS, runs=2, seed=2
         ),
     )
+    _check_shape(result)
     save_result(
         "fig07_lightning", "Fig 7c/7d - Lightning load sweep", result.format()
     )
-    _check_shape(result)

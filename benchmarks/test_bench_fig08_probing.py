@@ -15,9 +15,9 @@ def test_fig8_ripple(benchmark):
         benchmark,
         lambda: fig8_probing_overhead(BENCH_RIPPLE, runs=3, seed=3),
     )
-    save_result("fig08_ripple", "Fig 8a - probing messages (Ripple)", result.format())
     assert result.flash_probes < result.spider_probes
     assert result.savings_percent > 15.0
+    save_result("fig08_ripple", "Fig 8a - probing messages (Ripple)", result.format())
 
 
 def test_fig8_lightning(benchmark):
@@ -32,8 +32,8 @@ def test_fig8_lightning(benchmark):
             BENCH_LIGHTNING, capacity_scale=40.0, runs=3, seed=3
         ),
     )
+    assert result.flash_probes < result.spider_probes
+    assert result.savings_percent > 10.0
     save_result(
         "fig08_lightning", "Fig 8b - probing messages (Lightning)", result.format()
     )
-    assert result.flash_probes < result.spider_probes
-    assert result.savings_percent > 10.0

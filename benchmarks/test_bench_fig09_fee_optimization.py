@@ -38,10 +38,10 @@ def test_fig9_ripple(benchmark):
             BENCH_RIPPLE, transaction_counts=COUNTS, runs=2, seed=5
         ),
     )
+    _check(result)
     save_result(
         "fig09_ripple", "Fig 9b - fee optimization (Ripple)", result.format()
     )
-    _check(result)
 
 
 def test_fig9_lightning(benchmark):
@@ -51,7 +51,7 @@ def test_fig9_lightning(benchmark):
             BENCH_LIGHTNING, transaction_counts=COUNTS, runs=2, seed=5
         ),
     )
+    _check(result)
     save_result(
         "fig09_lightning", "Fig 9a - fee optimization (Lightning)", result.format()
     )
-    _check(result)

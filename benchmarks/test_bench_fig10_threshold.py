@@ -19,7 +19,6 @@ def test_fig10_threshold(benchmark):
             BENCH_RIPPLE, mice_percentages=PERCENTAGES, runs=2, seed=5
         ),
     )
-    save_result("fig10", "Fig 10 - threshold sweep (Ripple)", result.format())
     by_pct = dict(zip(result.mice_percentages, result.probe_messages))
     # Probing falls monotonically-ish as more payments are mice.
     assert by_pct[90] < by_pct[0]
@@ -27,3 +26,4 @@ def test_fig10_threshold(benchmark):
     volumes = dict(zip(result.mice_percentages, result.success_volumes))
     # The 90%-mice operating point keeps most of the all-elephant volume.
     assert volumes[90] > 0.5 * volumes[0]
+    save_result("fig10", "Fig 10 - threshold sweep (Ripple)", result.format())

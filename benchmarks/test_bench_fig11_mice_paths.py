@@ -19,7 +19,6 @@ def test_fig11_mice_paths(benchmark):
             BENCH_RIPPLE, m_values=M_VALUES, runs=2, seed=6
         ),
     )
-    save_result("fig11", "Fig 11 - mice paths per receiver", result.format())
     volumes = dict(zip(result.m_values, result.mice_success_volumes))
     probes = dict(zip(result.m_values, result.mice_probe_messages))
     # m=0 (elephant-style) is the upper bound on mice success volume.
@@ -28,3 +27,4 @@ def test_fig11_mice_paths(benchmark):
     assert probes[4] < probes[0] / 3
     # More paths help volume (2 -> 8 should not hurt).
     assert volumes[8] >= volumes[2] * 0.8
+    save_result("fig11", "Fig 11 - mice paths per receiver", result.format())

@@ -16,7 +16,6 @@ def test_fig12_testbed_50(benchmark):
         benchmark,
         lambda: run_testbed_figure(n_nodes=50, n_transactions=2_000, seed=7),
     )
-    save_result("fig12", "Fig 12 - testbed, 50 nodes", result.format())
     for i in range(len(result.intervals)):
         flash = result.table["Flash"][i]
         spider = result.table["Spider"][i]
@@ -33,3 +32,4 @@ def test_fig12_testbed_50(benchmark):
         assert sp["norm_delay"] == 1.0
         assert flash["norm_mice_delay"] < spider["norm_mice_delay"]
         assert flash["norm_delay"] < 1.25 * spider["norm_delay"]
+    save_result("fig12", "Fig 12 - testbed, 50 nodes", result.format())

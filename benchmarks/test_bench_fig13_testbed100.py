@@ -15,7 +15,6 @@ def test_fig13_testbed_100(benchmark):
         benchmark,
         lambda: run_testbed_figure(n_nodes=100, n_transactions=2_000, seed=8),
     )
-    save_result("fig13", "Fig 13 - testbed, 100 nodes", result.format())
     for i in range(len(result.intervals)):
         flash = result.table["Flash"][i]
         spider = result.table["Spider"][i]
@@ -25,3 +24,4 @@ def test_fig13_testbed_100(benchmark):
         assert flash["success_ratio"] > sp["success_ratio"]
         assert flash["norm_mice_delay"] < spider["norm_mice_delay"]
         assert flash["norm_delay"] < 1.25 * spider["norm_delay"]
+    save_result("fig13", "Fig 13 - testbed, 100 nodes", result.format())

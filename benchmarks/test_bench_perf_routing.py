@@ -7,7 +7,8 @@ scale-free topology, against *legacy* reference implementations (the
 dict-based algorithms this repo shipped before the compact-topology
 rewrite, preserved verbatim below).
 
-Writes machine-readable ``BENCH_routing.json`` at the repo root so
+Under ``BENCH_WRITE=1``, once its assertions pass, writes
+machine-readable ``BENCH_routing.json`` at the repo root so
 future PRs can track speedups/regressions with
 ``python benchmarks/compare_bench.py``.
 
@@ -16,7 +17,6 @@ Set ``BENCH_SMOKE=1`` to run a scaled-down version (CI smoke).
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
@@ -24,7 +24,7 @@ import random
 import time
 from collections import deque
 
-from _common import save_result
+from _common import save_result, write_snapshot
 
 from repro.core.routing_table import RoutingTable
 from repro.network.compact import CompactTopology, numpy_available
@@ -378,20 +378,6 @@ def test_bench_perf_routing():
             "metrics_identical": True,
         },
     }
-    # Canonical serialization (sorted keys, fixed float precision) keeps
-    # the snapshot diffable across platforms and compare_bench.py stable.
-    from repro.eval.store import CANONICAL_DIGITS, canonicalize
-
-    BENCH_JSON.write_text(
-        json.dumps(
-            canonicalize(report, CANONICAL_DIGITS),
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        + "\n"
-    )
-
     body = "\n".join(
         [
             f"topology: BA n={N_NODES} channels={graph.num_channels()}"
@@ -419,8 +405,6 @@ def test_bench_perf_routing():
             f"parallel {parallel_ms:.0f} ms  ({workers_speedup:.2f}x)",
         ]
     )
-    save_result("perf_routing", "Routing hot-path microbenchmark", body)
-
     # The perf contract of the compact rewrite.  Ratios are
     # machine-independent; thresholds leave slack under the measured
     # ~6x (BFS) / ~7x (Yen) so CI noise cannot flip them.
@@ -440,3 +424,5 @@ def test_bench_perf_routing():
     # 1-core machines — compare_bench.py mirrors this for snapshots.
     if (os.cpu_count() or 1) > 1 and not SMOKE:
         assert workers_speedup > 1.0, report["parallel_runner"]
+    write_snapshot(BENCH_JSON, report)
+    save_result("perf_routing", "Routing hot-path microbenchmark", body)

@@ -13,7 +13,8 @@ at benchmark scale, then asserts the qualitative resilience claims:
 * Flash stays at least as successful under jamming as Shortest Path
   (the paper's ranking, extended to adversarial load).
 
-Writes machine-readable ``BENCH_resilience.json`` at the repo root
+Under ``BENCH_WRITE=1``, once its assertions pass, writes
+machine-readable ``BENCH_resilience.json`` at the repo root
 (canonical serialization, like ``BENCH_churn.json``); methodology in
 ``docs/RESILIENCE.md``.  Set ``BENCH_SMOKE=1`` for the CI-scale
 version — same scenarios and assertions on smaller topologies.
@@ -21,12 +22,11 @@ version — same scenarios and assertions on smaller topologies.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
 
-from _common import save_result
+from _common import save_result, write_snapshot
 
 import repro.scenarios as scenarios
 from repro.sim.factories import paper_benchmark_factories
@@ -153,18 +153,6 @@ def test_bench_resilience():
             "flash_ge_shortest_path_under_jamming",
         ],
     }
-    from repro.eval.store import CANONICAL_DIGITS, canonicalize
-
-    BENCH_JSON.write_text(
-        json.dumps(
-            canonicalize(report, CANONICAL_DIGITS),
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        + "\n"
-    )
-
     lines = [
         f"scale: nodes<={N_NODES} txns={N_TRANSACTIONS} seeds={SEEDS}"
         + (" [SMOKE]" if SMOKE else "")
@@ -180,6 +168,7 @@ def test_bench_resilience():
                 f"rhl={metrics['recovery_half_life']:7.0f}s "
                 f"escrow={metrics['adversary_escrow']:.3g}"
             )
+    write_snapshot(BENCH_JSON, report)
     save_result(
         "resilience", "Scheme resilience under adversarial faults", "\n".join(lines)
     )

@@ -13,7 +13,8 @@ Measures the two claims the streaming workload path makes:
   the queue or held in flight) is counted at the moment each new one is
   yielded.
 
-Writes machine-readable ``BENCH_streaming.json`` at the repo root so
+Under ``BENCH_WRITE=1``, once its assertions pass, writes
+machine-readable ``BENCH_streaming.json`` at the repo root so
 future PRs can track throughput/residency with
 ``python benchmarks/compare_bench.py``.
 
@@ -22,7 +23,6 @@ Set ``BENCH_SMOKE=1`` to run a scaled-down version (CI smoke).
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import platform
@@ -30,7 +30,7 @@ import random
 import time
 import weakref
 
-from _common import save_result
+from _common import save_result, write_snapshot
 
 import repro.scenarios  # populates the catalog (lightning-day)
 from repro.scenarios.registry import get_scenario
@@ -136,18 +136,6 @@ def test_bench_streaming():
             "peak_over_lookahead": round(probe.peak / LOOKAHEAD, 2),
         },
     }
-    from repro.eval.store import CANONICAL_DIGITS, canonicalize
-
-    BENCH_JSON.write_text(
-        json.dumps(
-            canonicalize(report, CANONICAL_DIGITS),
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        + "\n"
-    )
-
     body = "\n".join(
         [
             f"scenario: lightning-day slice, n={N_TRANSACTIONS}"
@@ -161,8 +149,6 @@ def test_bench_streaming():
             f"stream length {probe.yielded})",
         ]
     )
-    save_result("streaming", "Streaming lightning-day benchmark", body)
-
     # Every transaction must have flowed through the probe exactly once.
     assert probe.yielded == N_TRANSACTIONS
     assert result.transactions == N_TRANSACTIONS
@@ -173,3 +159,5 @@ def test_bench_streaming():
     assert probe.peak < N_TRANSACTIONS / 20, report["residency"]
     # The throughput contract of the single-pass path.
     assert txn_per_s >= MIN_TXN_PER_S, report["throughput"]
+    write_snapshot(BENCH_JSON, report)
+    save_result("streaming", "Streaming lightning-day benchmark", body)

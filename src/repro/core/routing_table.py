@@ -24,6 +24,14 @@ of a known sender then skips Yen's initial BFS, and the tree is shared
 across all ``(sender, *)`` pairs until the topology changes (detected via
 a topology token; :meth:`refresh` also drops the trees explicitly).
 
+Each entry also keeps its Yen state (a
+:class:`~repro.network.paths.YenRanking`), so replacing a dead path
+costs one Yen iteration rather than re-ranking from scratch.  Yen over
+a fixed topology is prefix-stable, so the paths are the same.  A
+ranking is reused only on the topology object and token it was built
+on; :meth:`refresh` and :meth:`apply_events` drop every entry's
+ranking, so none pins a superseded snapshot.
+
 Under churn the table supports **selective** maintenance
 (:meth:`RoutingTable.apply_events`): given the batch of channel events a
 gossip tick delivered, only the BFS layers an event can actually have
@@ -44,7 +52,12 @@ from dataclasses import dataclass, field
 from repro.network.channel import NodeId
 from repro.network.compact import CompactTopology
 from repro.network.dynamics import ChannelEvent, ChannelEventType
-from repro.network.paths import Adjacency, bfs_tree_parents, yen_k_shortest_paths
+from repro.network.paths import (
+    Adjacency,
+    YenRanking,
+    bfs_tree_parents,
+    yen_k_shortest_paths,
+)
 
 Path = list[NodeId]
 
@@ -114,10 +127,20 @@ class TableEntry:
     paths: list[Path]
     last_used: float = 0.0
     #: How many Yen paths have been consumed for this pair, including
-    #: replaced ones — lets replacement continue where the ranking left off.
+    #: replaced ones — lets replacement continue where the ranking left
+    #: off.  Never exceeds the ranking's length.
     yen_cursor: int = 0
     hits: int = 0
     misses: int = 0
+    #: Saved Yen state for this pair (see :class:`YenRanking`), valid
+    #: for the topology whose :func:`_topology_token` is ``ranking_token``.
+    ranking: YenRanking | None = field(default=None, repr=False)
+    ranking_token: tuple | None = field(default=None, repr=False)
+
+    def drop_ranking(self) -> None:
+        """Forget the saved Yen state (it pins its topology snapshot)."""
+        self.ranking = None
+        self.ranking_token = None
 
 
 @dataclass
@@ -192,17 +215,46 @@ class RoutingTable:
         self._source_layers.clear()
 
     def _ranked_paths(
-        self, sender: NodeId, receiver: NodeId, topology: Adjacency, k: int
+        self,
+        sender: NodeId,
+        receiver: NodeId,
+        topology: Adjacency,
+        k: int,
+        entry: TableEntry,
     ) -> list[Path]:
-        """Top-``k`` Yen paths, seeded by the cached source tree."""
+        """Top-``k`` Yen paths, seeded by the cached source tree.
+
+        The enumeration resumes from ``entry``'s saved ranking when that
+        was built on this topology (same object, same token); otherwise
+        the entry gets a fresh one.  Either way the paths equal a
+        from-scratch Yen run.
+        """
         if k <= 0:
             return []
         first = self._first_path(sender, receiver, topology)
         if first is None:
+            entry.drop_ranking()
             return []
+        token = _topology_token(topology)
+        if entry.ranking is None or entry.ranking_token != token:
+            entry.ranking = YenRanking()
+            entry.ranking_token = token
         return yen_k_shortest_paths(
-            topology, sender, receiver, k, first=first
+            topology, sender, receiver, k, first=first, resume=entry.ranking
         )
+
+    def _recompute(
+        self,
+        sender: NodeId,
+        receiver: NodeId,
+        topology: Adjacency,
+        entry: TableEntry,
+    ) -> None:
+        """Rank a fresh top-``m`` for ``entry`` and reset its cursor."""
+        entry.paths = self._ranked_paths(
+            sender, receiver, topology, self.m, entry
+        )
+        entry.yen_cursor = len(entry.paths)
 
     # -------------------------------------------------------------- lookups
 
@@ -217,8 +269,8 @@ class RoutingTable:
         pair = (sender, receiver)
         entry = self._entries.get(pair)
         if entry is None:
-            paths = self._ranked_paths(sender, receiver, topology, self.m)
-            entry = TableEntry(paths=paths, last_used=now, yen_cursor=len(paths))
+            entry = TableEntry(paths=[], last_used=now)
+            self._recompute(sender, receiver, topology, entry)
             entry.misses += 1
             self._entries[pair] = entry
             self._enforce_capacity()
@@ -238,13 +290,15 @@ class RoutingTable:
 
         Returns the replacement, or ``None`` when the topology has no
         further distinct path (the dead one is then simply dropped).
+        The entry's saved ranking makes this one Yen iteration; once the
+        ranking is exhausted the cursor stays at its length.
         """
         pair = (sender, receiver)
         entry = self._entries.get(pair)
         if entry is None or dead_path not in entry.paths:
             return None
         ranked = self._ranked_paths(
-            sender, receiver, topology, entry.yen_cursor + 1
+            sender, receiver, topology, entry.yen_cursor + 1, entry
         )
         replacement = None
         existing = {tuple(path) for path in entry.paths}
@@ -252,7 +306,7 @@ class RoutingTable:
             if tuple(candidate) not in existing:
                 replacement = candidate
                 break
-        entry.yen_cursor = max(entry.yen_cursor + 1, len(ranked))
+        entry.yen_cursor = min(entry.yen_cursor + 1, len(ranked))
         index = entry.paths.index(dead_path)
         if replacement is None:
             del entry.paths[index]
@@ -264,9 +318,8 @@ class RoutingTable:
         """Recompute every entry against an updated topology (§3.3)."""
         self.invalidate_structural_cache()
         for (sender, receiver), entry in list(self._entries.items()):
-            paths = self._ranked_paths(sender, receiver, topology, self.m)
-            entry.paths = paths
-            entry.yen_cursor = len(paths)
+            entry.drop_ranking()
+            self._recompute(sender, receiver, topology, entry)
 
     def _layer_touched(
         self,
@@ -313,7 +366,9 @@ class RoutingTable:
         cross a closed channel, or — when the batch contains opens —
         whose sender has no cached layer to prove the open harmless.
         Surviving layers are re-stamped against ``topology`` so they
-        keep validating; surviving entries keep their paths.  Those
+        keep validating; surviving entries keep their paths, but every
+        entry drops its saved Yen ranking, so none pins the superseded
+        snapshot and later replacements rank on ``topology``.  Those
         paths remain *valid*, and each entry's rank-1 path remains a
         true fewest-hop path (the depth rule guarantees single-source
         distances are unchanged); lower-ranked backup paths, however,
@@ -357,6 +412,7 @@ class RoutingTable:
         }
         recomputed = 0
         for (sender, receiver), entry in list(self._entries.items()):
+            entry.drop_ranking()
             stale = sender in dropped
             if not stale and opens and sender in layerless:
                 stale = True
@@ -367,9 +423,7 @@ class RoutingTable:
                     for u, v in zip(path, path[1:])
                 )
             if stale:
-                paths = self._ranked_paths(sender, receiver, topology, self.m)
-                entry.paths = paths
-                entry.yen_cursor = len(paths)
+                self._recompute(sender, receiver, topology, entry)
                 recomputed += 1
         return len(dropped), recomputed
 

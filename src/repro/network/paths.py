@@ -11,7 +11,9 @@ to encode the residual capacity matrix of Algorithm 1).
 Implemented from scratch:
 
 * breadth-first shortest path (the subroutine of Algorithm 1);
-* Yen's k-shortest loopless paths [36] (mice routing tables, §3.3);
+* Yen's k-shortest loopless paths [36] (mice routing tables, §3.3),
+  resumable through a saved :class:`YenRanking` so that "the next
+  path" costs one Yen iteration;
 * k edge-disjoint shortest paths (Spider's path choice [30]).
 
 Passing a :class:`CompactTopology` routes every algorithm through the
@@ -216,6 +218,175 @@ def bfs_tree_parents(
 # ---------------------------------------------------------------------- Yen
 
 
+class YenRanking:
+    """Resumable state of one Yen enumeration.
+
+    Yen's algorithm over a fixed topology is prefix-stable: a run asked
+    for ``k + 1`` paths performs exactly the iterations of a run asked
+    for ``k``, then one more.  Keeping the accepted paths, the candidate
+    heap and the ``pushed`` set between calls therefore makes "the next
+    path" cost one iteration instead of ``k`` — the idiom of networkx's
+    lazy ``shortest_simple_paths`` generator — while returning the same
+    paths as a from-scratch run.
+
+    Pass one instance as ``resume=`` to successive
+    :func:`yen_k_shortest_paths` calls.  The state is bound to the
+    adjacency *object*, the endpoints, the edge predicate and the
+    ``first`` path it was started from; a call that differs in any of
+    them restarts it.  It keeps a strong reference to the adjacency, so
+    a caller that mutates a mapping in place, or moves to a new
+    snapshot, must drop the instance.
+    """
+
+    __slots__ = (
+        "_adjacency",
+        "_key",
+        "_ct",
+        "_dst",
+        "_base_ok",
+        "_accepted",
+        "_heap",
+        "_pushed",
+        "_paths",
+        "exhausted",
+    )
+
+    def __init__(self) -> None:
+        self._adjacency: Adjacency | None = None
+        self._key: tuple | None = None
+        self._ct: CompactTopology | None = None
+        self._dst = -1
+        self._base_ok = None
+        self._accepted: list[tuple[int, ...]] = []
+        self._heap: list[tuple[int, tuple[str, ...], tuple[int, ...]]] = []
+        self._pushed: set[tuple[int, ...]] = set()
+        #: Accepted paths translated to node ids, in rank order.
+        self._paths: list[Path] = []
+        #: True once the ranking holds every simple path it can produce.
+        self.exhausted = True
+
+    def _bind(
+        self,
+        adjacency: Adjacency,
+        source: NodeId,
+        target: NodeId,
+        edge_ok: EdgePredicate | None,
+        first: Path | None,
+    ) -> None:
+        """Restart the state unless it was started from these arguments."""
+        key = (
+            source, target, edge_ok, None if first is None else tuple(first)
+        )
+        if self._adjacency is adjacency and self._key == key:
+            return
+        self.__init__()
+        self._adjacency = adjacency
+        self._key = key
+        if not isinstance(adjacency, CompactTopology) and (
+            source not in adjacency or target not in adjacency
+        ):
+            # Match bfs_shortest_path on mapping inputs: an endpoint that
+            # is only a dangling neighbor value, not a key, is unreachable.
+            return
+        ct = CompactTopology.from_adjacency(adjacency)
+        src = ct.index_of(source)
+        dst = ct.index_of(target)
+        if src is None or dst is None:
+            return
+        base_ok = _slot_ok_from_edge_ok(ct, edge_ok)
+
+        first_idx: list[int] | None = None
+        if first is not None and first[0] == source and first[-1] == target:
+            mapped = [ct.index_of(node) for node in first]
+            if None not in mapped and ct.path_slots(mapped) is not None:
+                first_idx = mapped  # type: ignore[assignment]
+        if first_idx is None:
+            if base_ok is None:
+                first_idx = ct.shortest_path_plain(src, dst)
+            else:
+                found = ct.shortest_path_idx(src, dst, slot_ok=base_ok)
+                first_idx = None if found is None else found[0]
+        if first_idx is None:
+            return
+        self._ct = ct
+        self._dst = dst
+        self._base_ok = base_ok
+        self._accepted = [tuple(first_idx)]
+        self._pushed = {self._accepted[0]}
+        self._paths = [ct.path_nodes(first_idx)]
+        self.exhausted = False
+
+    def _advance(self, k: int) -> None:
+        """Run Yen iterations until ``k`` paths are accepted or none remain."""
+        accepted = self._accepted
+        if len(accepted) >= k or self.exhausted:
+            return
+        ct = self._ct
+        dst = self._dst
+        base_ok = self._base_ok
+        heap = self._heap
+        pushed = self._pushed
+        n = ct.num_nodes
+        reprs = ct.repr_keys
+        tail = ct.slot_tail
+        heads = ct.indices
+        nodes = ct.nodes
+        # Accepted and candidate paths are tuples of dense indices; removed
+        # spur edges are ``u * n + v`` integer codes, so the spur BFS does one
+        # int-set membership test per edge instead of hashing node tuples.
+        while len(accepted) < k:
+            prev_idx = accepted[-1]
+            for i in range(len(prev_idx) - 1):
+                root = prev_idx[: i + 1]
+                removed: set[int] = set()
+                for other_idx in accepted:
+                    if len(other_idx) > i + 1 and other_idx[: i + 1] == root:
+                        removed.add(other_idx[i] * n + other_idx[i + 1])
+                blocked = bytearray(n)
+                for node in root[:-1]:
+                    blocked[node] = 1
+
+                if base_ok is None:
+                    spur = ct.shortest_path_banned(
+                        root[i], dst, removed, blocked
+                    )
+                else:
+                    def spur_ok(
+                        slot: int, _removed=removed, _base=base_ok
+                    ) -> bool:
+                        return (
+                            tail[slot] * n + heads[slot] not in _removed
+                            and _base(slot)
+                        )
+
+                    found = ct.shortest_path_idx(
+                        root[i], dst, slot_ok=spur_ok, blocked=blocked
+                    )
+                    spur = None if found is None else found[0]
+                if spur is None:
+                    continue
+                candidate = root[:-1] + tuple(spur)
+                if candidate in pushed:
+                    continue
+                # ``blocked`` already guarantees loop-freedom: the spur path
+                # cannot revisit any root node other than the spur node itself.
+                pushed.add(candidate)
+                heapq.heappush(
+                    heap,
+                    (
+                        len(candidate),
+                        tuple(reprs[j] for j in candidate),
+                        candidate,
+                    ),
+                )
+            if not heap:
+                self.exhausted = True
+                return
+            best = heapq.heappop(heap)[2]
+            accepted.append(best)
+            self._paths.append([nodes[j] for j in best])
+
+
 def yen_k_shortest_paths(
     adjacency: Adjacency,
     source: NodeId,
@@ -223,6 +394,7 @@ def yen_k_shortest_paths(
     k: int,
     edge_ok: EdgePredicate | None = None,
     first: Path | None = None,
+    resume: YenRanking | None = None,
 ) -> list[Path]:
     """Yen's algorithm [36]: up to ``k`` loopless fewest-hop paths.
 
@@ -235,96 +407,18 @@ def yen_k_shortest_paths(
     ``source`` to ``target`` (e.g. read off a cached BFS tree); the
     initial BFS is then skipped.  The caller is responsible for ``first``
     really being a shortest path under ``edge_ok``.
+
+    ``resume`` optionally carries a :class:`YenRanking` from an earlier
+    call with the same arguments (bar ``k``): the enumeration continues
+    from its saved state, so asking for one path more costs one Yen
+    iteration.  The result is identical to a from-scratch run.
     """
     if k <= 0:
         return []
-    if not isinstance(adjacency, CompactTopology) and (
-        source not in adjacency or target not in adjacency
-    ):
-        # Match bfs_shortest_path on mapping inputs: an endpoint that is
-        # only a dangling neighbor value, not a key, is unreachable.
-        return []
-    ct = CompactTopology.from_adjacency(adjacency)
-    src = ct.index_of(source)
-    dst = ct.index_of(target)
-    if src is None or dst is None:
-        return []
-    base_ok = _slot_ok_from_edge_ok(ct, edge_ok)
-    n = ct.num_nodes
-
-    first_idx: list[int] | None = None
-    if first is not None and first[0] == source and first[-1] == target:
-        mapped = [ct.index_of(node) for node in first]
-        if None not in mapped and ct.path_slots(mapped) is not None:
-            first_idx = mapped  # type: ignore[assignment]
-    if first_idx is None:
-        if base_ok is None:
-            first_idx = ct.shortest_path_plain(src, dst)
-        else:
-            found = ct.shortest_path_idx(src, dst, slot_ok=base_ok)
-            first_idx = None if found is None else found[0]
-    if first_idx is None:
-        return []
-
-    reprs = ct.repr_keys
-    tail = ct.slot_tail
-    heads = ct.indices
-    # Accepted and candidate paths are tuples of dense indices; removed
-    # spur edges are ``u * n + v`` integer codes, so the spur BFS does one
-    # int-set membership test per edge instead of hashing node tuples.
-    accepted: list[tuple[int, ...]] = [tuple(first_idx)]
-    pushed: set[tuple[int, ...]] = {accepted[0]}
-    heap: list[tuple[int, tuple[str, ...], tuple[int, ...]]] = []
-
-    while len(accepted) < k:
-        prev_idx = accepted[-1]
-        for i in range(len(prev_idx) - 1):
-            root = prev_idx[: i + 1]
-            removed: set[int] = set()
-            for other_idx in accepted:
-                if len(other_idx) > i + 1 and other_idx[: i + 1] == root:
-                    removed.add(other_idx[i] * n + other_idx[i + 1])
-            blocked = bytearray(n)
-            for node in root[:-1]:
-                blocked[node] = 1
-
-            if base_ok is None:
-                spur = ct.shortest_path_banned(root[i], dst, removed, blocked)
-            else:
-                def spur_ok(
-                    slot: int, _removed=removed, _base=base_ok
-                ) -> bool:
-                    return (
-                        tail[slot] * n + heads[slot] not in _removed
-                        and _base(slot)
-                    )
-
-                found = ct.shortest_path_idx(
-                    root[i], dst, slot_ok=spur_ok, blocked=blocked
-                )
-                spur = None if found is None else found[0]
-            if spur is None:
-                continue
-            candidate = root[:-1] + tuple(spur)
-            if candidate in pushed:
-                continue
-            # ``blocked`` already guarantees loop-freedom: the spur path
-            # cannot revisit any root node other than the spur node itself.
-            pushed.add(candidate)
-            heapq.heappush(
-                heap,
-                (
-                    len(candidate),
-                    tuple(reprs[j] for j in candidate),
-                    candidate,
-                ),
-            )
-        if not heap:
-            break
-        accepted.append(heapq.heappop(heap)[2])
-
-    nodes = ct.nodes
-    return [[nodes[j] for j in idx_path] for idx_path in accepted]
+    ranking = resume if resume is not None else YenRanking()
+    ranking._bind(adjacency, source, target, edge_ok, first)
+    ranking._advance(k)
+    return [list(path) for path in ranking._paths[:k]]
 
 
 # --------------------------------------------------------------- fee-aware
