@@ -128,7 +128,8 @@ class TableEntry:
     last_used: float = 0.0
     #: How many Yen paths have been consumed for this pair, including
     #: replaced ones — lets replacement continue where the ranking left
-    #: off.  Never exceeds the ranking's length.
+    #: off.  Stops at an exhausted ranking's length and never decreases
+    #: until the entry is recomputed.
     yen_cursor: int = 0
     hits: int = 0
     misses: int = 0
@@ -290,8 +291,10 @@ class RoutingTable:
 
         Returns the replacement, or ``None`` when the topology has no
         further distinct path (the dead one is then simply dropped).
-        The entry's saved ranking makes this one Yen iteration; once the
-        ranking is exhausted the cursor stays at its length.
+        The entry's saved ranking makes this one Yen iteration.  The
+        cursor advances by one per replacement but stops once the
+        ranking is exhausted, and it never moves back: a survivor of
+        :meth:`apply_events` whose ranking shrank keeps its cursor.
         """
         pair = (sender, receiver)
         entry = self._entries.get(pair)
@@ -306,7 +309,8 @@ class RoutingTable:
             if tuple(candidate) not in existing:
                 replacement = candidate
                 break
-        entry.yen_cursor = min(entry.yen_cursor + 1, len(ranked))
+        if len(ranked) > entry.yen_cursor:
+            entry.yen_cursor += 1
         index = entry.paths.index(dead_path)
         if replacement is None:
             del entry.paths[index]

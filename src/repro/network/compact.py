@@ -15,9 +15,7 @@ path algorithms O(1) integer bookkeeping:
 * BFS runs over flat ``parent``/``seen`` arrays instead of dicts, with an
   epoch-stamped scratch buffer so repeated searches (Yen's spur loop,
   Algorithm 1's augmenting loop) allocate nothing, and those two
-  searches exit early: a node is tested for an admissible edge into
-  the target when it is discovered, so a ≤2-hop answer costs
-  O(deg(src)) lookups without flooding (see the kernel notes below);
+  searches exit early (see the kernel notes below);
 * Yen keys its candidate heap and removed-edge sets by slot ids;
 * the Edmonds–Karp residual matrix of Algorithm 1 becomes one flat float
   list indexed by slot, with ``reverse_slot`` providing the O(1) reverse
@@ -785,8 +783,9 @@ class CompactTopology(Mapping):
 
         A mapping with a repeated neighbor yields parallel slots, and
         :attr:`slot_map` then names only one of them.  The serial
-        ``banned``/``residual`` kernels exit early only on simple
-        snapshots, where a slot-map lookup finds the one slot of an edge.
+        ``residual`` kernel judges admissibility per slot, so it exits
+        early only on simple snapshots, where a slot-map lookup finds
+        the one slot of an edge.
         """
         simple = self._simple
         if simple is None:
@@ -815,18 +814,12 @@ class CompactTopology(Mapping):
     # where exact equality with the mapping algorithms is pinned — stay
     # on the serial kernels.
     #
-    # The one-sided ``banned`` and ``residual`` kernels exit *early*,
-    # with exactly the path the plain FIFO sweep returns.  The sweep
-    # reaches ``dst`` from the first node in discovery order that has an
-    # admissible edge into it, so each node is tested for that edge (one
-    # slot-map lookup) when it is discovered rather than when it is
-    # dequeued, and ``src`` before the sweep starts.  A ≤2-hop answer —
-    # ``[src, dst]``, else ``[src, u, dst]`` for the first admissible
-    # ``u`` in ``src``'s row with an admissible ``u -> dst`` — then costs
-    # O(deg(src)) lookups without flooding, and a longer one skips its
-    # last BFS level.  On the bundled 96-node Lightning snapshot most Yen
-    # spur searches and about half of Algorithm 1's augmenting searches
-    # are ≤2 hops.  The bidirectional kernels are unchanged.
+    # The one-sided ``banned`` and ``residual`` kernels exit *early*:
+    # each node is tested for an admissible edge into ``dst`` (one
+    # slot-map lookup) when it is discovered, ``src`` first.  This
+    # returns exactly the FIFO sweep's path; why, and the ≤2-hop rule
+    # it yields, are in ``docs/ARCHITECTURE.md`` ("The CompactTopology
+    # contract").
 
     def _use_bidirectional(self) -> bool:
         return (
@@ -1290,14 +1283,11 @@ class CompactTopology(Mapping):
             return self._bidir_banned(src, dst, banned, blocked)
         nbrs = self.neighbor_idx
         n = len(self.nodes)
-        # Early exit (see the kernel notes above) on simple snapshots;
-        # with parallel slots the sweep stops when it reaches ``dst``.
-        into = self.slot_map if self.is_simple else None
-        if (
-            into is not None
-            and (src, dst) in into
-            and src * n + dst not in banned
-        ):
+        # Early exit (see the kernel notes above).  Edges are judged by
+        # node pair, so a slot-map lookup is exact even with parallel
+        # slots.
+        into = self.slot_map
+        if (src, dst) in into and src * n + dst not in banned:
             return [src, dst]
         self._epoch += 1
         epoch = self._epoch
@@ -1319,10 +1309,7 @@ class CompactTopology(Mapping):
                 ):
                     seen[v] = epoch
                     parent[v] = u
-                    if into is None:
-                        if v == dst:
-                            return self._trace(src, dst)
-                    elif (v, dst) in into and v * n + dst not in banned:
+                    if (v, dst) in into and v * n + dst not in banned:
                         path = self._trace(src, v)
                         path.append(dst)
                         return path
@@ -1350,8 +1337,9 @@ class CompactTopology(Mapping):
             return self._bidir_residual(src, dst, residual, stamp, flow_epoch, eps)
         srows = self.slot_rows
         nbrs = self.neighbor_idx
-        # Early exit (see the kernel notes above) on simple snapshots;
-        # with parallel slots the sweep stops when it reaches ``dst``.
+        # Early exit (see the kernel notes above) on simple snapshots
+        # only: admissibility is per slot, and with parallel slots the
+        # slot map names just one of them.
         into = self.slot_map if self.is_simple else None
         if into is not None:
             last = into.get((src, dst))

@@ -1,10 +1,9 @@
 """Differential fuzz: the early-exit serial kernels are exact.
 
 Below ``BIDIRECTIONAL_MIN_NODES`` the ``banned`` (Yen spur search) and
-``residual`` (Algorithm 1) kernels test each node for an admissible edge
-into ``dst`` when they discover it, so a ≤2-hop answer costs
-O(deg(src)) slot lookups and a longer one skips its last BFS level.
-They must still return exactly the path of a plain FIFO sweep.  The
+``residual`` (Algorithm 1) kernels exit early (``docs/ARCHITECTURE.md``,
+"The CompactTopology contract").  They must still return exactly the
+path of a plain FIFO sweep.  The
 oracle is the generic :meth:`CompactTopology.shortest_path_idx`, which
 has no early exit and takes the same constraints as a ``slot_ok``
 predicate plus the same ``blocked`` bytearray.
@@ -207,10 +206,14 @@ def test_parallel_slots_clear_the_simple_flag():
     assert simple.is_simple  # a self-loop is one slot, not a parallel one
     parallel = CompactTopology.from_adjacency({0: [1, 1], 1: [0]})
     assert not parallel.is_simple
-    # The first 0->1 slot is saturated, the parallel one is not: the
-    # sweep reaches 1 over the second slot.
-    residual = [0.0, 5.0, 5.0]
+    # The slot map names the second 0->1 slot.  It is saturated and
+    # the first is not, so the sweep reaches 1 over the first slot.
+    residual = [5.0, 0.0, 5.0]
     stamp = [FLOW_EPOCH] * 3
     assert parallel.shortest_path_residual(
         0, 1, residual, stamp, FLOW_EPOCH, EPS
-    ) == ([0, 1], [1])
+    ) == ([0, 1], [0])
+    # The banned kernel judges edges by node pair, so parallel slots
+    # need no gate there.
+    assert parallel.shortest_path_banned(0, 1, set()) == [0, 1]
+    assert parallel.shortest_path_banned(0, 1, {0 * 2 + 1}) is None

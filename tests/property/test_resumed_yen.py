@@ -57,6 +57,34 @@ class FromScratchTable(RoutingTable):
         )
 
 
+class ParentRuleTable(FromScratchTable):
+    """The table before rankings were resumed: the cursor always grows.
+
+    ``replace_path`` re-ranks from scratch and advances ``yen_cursor``
+    by one on every replacement, exhausted ranking or not.
+    """
+
+    def replace_path(self, sender, receiver, dead_path, topology):
+        entry = self._entries.get((sender, receiver))
+        if entry is None or dead_path not in entry.paths:
+            return None
+        ranked = self._ranked_paths(
+            sender, receiver, topology, entry.yen_cursor + 1, entry
+        )
+        existing = {tuple(path) for path in entry.paths}
+        replacement = next(
+            (c for c in ranked[entry.yen_cursor:] if tuple(c) not in existing),
+            None,
+        )
+        entry.yen_cursor = max(entry.yen_cursor + 1, len(ranked))
+        index = entry.paths.index(dead_path)
+        if replacement is None:
+            del entry.paths[index]
+        else:
+            entry.paths[index] = replacement
+        return replacement
+
+
 def _erdos_renyi_edges(rng: random.Random, n: int, degree: float):
     p = degree / (n - 1)
     return [
@@ -210,6 +238,60 @@ def test_cursor_clamps_to_an_exhausted_ranking(line_graph):
     assert entry.paths == []
     assert entry.ranking.exhausted
     assert entry.yen_cursor == 2  # the ranking's length, not 3
+
+
+def test_cursor_never_moves_back_under_churn():
+    """A survivor keeps its cursor when churn shrinks its ranking.
+
+    The cursor stops at an exhausted ranking, where the old rule kept
+    counting; on a fixed topology both offer nothing more.  Under churn
+    they part: after an open grows the ranking, the table offers ranks
+    from its own cursor, and the old rule from further down.
+    """
+    graph = ChannelGraph()
+    for a, b in [(0, 1), (0, 2), (0, 3), (1, 9), (2, 9), (3, 4), (4, 9), (2, 3)]:
+        graph.add_channel(a, b, 10.0, 10.0)
+    a, b, c = [0, 1, 9], [0, 2, 9], [0, 3, 4, 9]
+    d, e = [0, 3, 2, 9], [0, 2, 3, 4, 9]
+    topology = graph.compact()
+    assert yen_k_shortest_paths(topology, 0, 9, 9) == [a, b, c, d, e]
+    table, parent = RoutingTable(m=3), ParentRuleTable(m=3)
+    entry = table.lookup(0, 9, topology)
+    old = parent.lookup(0, 9, topology)
+    for dead, want in [(c, d), (d, e), (e, None)]:
+        assert table.replace_path(0, 9, dead, topology) == want
+        assert parent.replace_path(0, 9, dead, topology) == want
+    assert entry.paths == old.paths == [a, b]
+    assert (entry.yen_cursor, old.yen_cursor) == (5, 6)
+
+    # Closing 2-3 kills d and e, off the cached paths and the BFS tree:
+    # the entry survives with a three-path ranking under its cursor.
+    graph.remove_channel(2, 3)
+    close = [ChannelEvent(0.0, ChannelEventType.CLOSE, 2, 3)]
+    topology = graph.compact()
+    assert table.apply_events(close, topology) == (0, 0)
+    assert parent.apply_events(close, topology) == (0, 0)
+    assert table._entries[(0, 9)] is entry
+    assert yen_k_shortest_paths(topology, 0, 9, 9) == [a, b, c]
+    assert table.replace_path(0, 9, b, topology) is None
+    assert parent.replace_path(0, 9, b, topology) is None
+    assert (entry.yen_cursor, old.yen_cursor) == (5, 7)
+
+    # Opens between nodes of one BFS level keep the entry too; the
+    # ranking grows to nine paths and the two rules part.
+    opens = []
+    for x, y in [(2, 3), (1, 2)]:
+        graph.add_channel(x, y, 10.0, 10.0)
+        opens.append(ChannelEvent(0.0, ChannelEventType.OPEN, x, y, 10.0, 10.0))
+    topology = graph.compact()
+    assert table.apply_events(opens, topology) == (0, 0)
+    assert parent.apply_events(opens, topology) == (0, 0)
+    assert table._entries[(0, 9)] is entry
+    ranked = yen_k_shortest_paths(topology, 0, 9, 9)
+    assert len(ranked) == 9
+    assert table.replace_path(0, 9, a, topology) == ranked[5] == d
+    assert parent.replace_path(0, 9, a, topology) == ranked[7]
+    assert (entry.yen_cursor, old.yen_cursor) == (6, 8)
 
 
 @pytest.mark.parametrize("kind", GRAPHS)
